@@ -1,21 +1,14 @@
-"""E12 — the parallel evaluation layer: corpus fan-out and SCC threading.
+"""E12 — corpus fan-out: whole-file analyses across processes.
 
-Two levels, two very different expectations under the GIL:
+``repro.parallel.map_corpus`` runs whole-file analyses in worker
+*processes*; that is where multi-core throughput comes from.  On a
+multi-core box linting the benchmark corpus with ``jobs=4`` should beat
+the serial sweep by >= 1.5x (asserted only when the machine actually
+has >= 4 CPUs; the speedup is recorded either way).
 
-* **corpus fan-out** (``repro.parallel.map_corpus``): whole-file
-  analyses in worker *processes*.  This is the throughput layer — on a
-  multi-core box linting the benchmark corpus with ``jobs=4`` should
-  beat the serial sweep by >= 1.5x (asserted only when the machine
-  actually has >= 4 CPUs; the speedup is recorded either way).
-
-* **component threading** (``BottomUpEngine(max_workers=N)``): Python
-  threads cannot add CPU throughput, so the ablation asserts the part
-  that must hold everywhere — bit-for-bit identical models and work
-  counters — and records the wall-clock ratio as data, not as a gate.
-
-The ``variant_key`` ground-term memo rides along: it is the term-layer
-optimisation that keeps the parallel engine's delta dedup cheap, and
-its micro-benchmark row documents the cached/uncached gap.
+The ``variant_key`` ground-term memo rides along: it keeps the fact-key
+dedup of semi-naive evaluation and answer tables cheap, and its
+micro-benchmark row documents the cached/uncached gap.
 """
 
 import os
@@ -25,9 +18,6 @@ from pathlib import Path
 import pytest
 
 import repro.benchdata as benchdata
-from repro.benchdata import load_prolog_benchmark, prolog_benchmark_source
-from repro.core.groundness import abstract_program
-from repro.engine.bottomup import BottomUpEngine
 from repro.parallel import map_corpus
 from repro.terms import variant_key
 from repro.terms.term import Struct
@@ -43,14 +33,6 @@ def _corpus_lines():
     return sum(
         len(Path(p).read_text().splitlines()) for p in _corpus_paths()
     )
-
-
-def _model(engine):
-    engine.evaluate()
-    return {
-        indicator: tuple(variant_key(f) for f in relation.facts)
-        for indicator, relation in engine.relations.items()
-    }
 
 
 @pytest.mark.table("parallel")
@@ -108,59 +90,6 @@ def test_corpus_fanout_speedup(benchmark, bench_record):
         assert speedup >= 1.5, (
             f"corpus fan-out speedup {speedup:.2f}x < 1.5x on {cpus} CPUs"
         )
-
-
-@pytest.mark.table("parallel")
-@pytest.mark.parametrize("name", ["qsort", "pg", "disj"])
-def test_engine_workers_identical_and_timed(benchmark, bench_record, name):
-    """``max_workers=4`` must reproduce the serial engine exactly; the
-    thread-layer wall-clock ratio is recorded as data (the GIL makes it
-    ~1x on CPython — see the README's caveat)."""
-    abstract, _info = abstract_program(load_prolog_benchmark(name))
-
-    t0 = time.perf_counter()
-    serial = BottomUpEngine(abstract, max_workers=1)
-    serial_model = _model(serial)
-    serial_seconds = time.perf_counter() - t0
-
-    engine = BottomUpEngine(abstract, max_workers=4)
-
-    def run():
-        return _model(engine)
-
-    t0 = time.perf_counter()
-    parallel_model = benchmark.pedantic(run, rounds=1, iterations=1)
-    parallel_seconds = time.perf_counter() - t0
-
-    assert parallel_model == serial_model
-    assert (engine.rounds, engine.rule_firings, engine.derivations) == (
-        serial.rounds, serial.rule_firings, serial.derivations,
-    )
-    benchmark.extra_info.update(
-        {
-            "serial_seconds": round(serial_seconds, 4),
-            "workers4_seconds": round(parallel_seconds, 4),
-            "condensation_width": engine.condensation["width"],
-            "components": engine.scc_count,
-        }
-    )
-    bench_record(
-        "parallel",
-        {
-            "name": f"engine_workers4_{name}",
-            "lines": len(prolog_benchmark_source(name).splitlines()),
-            "preprocess": 0.0,
-            "analysis": parallel_seconds,
-            "collection": 0.0,
-            "total": parallel_seconds,
-            "table_space": 0,
-            "extra": {
-                "serial_seconds": round(serial_seconds, 4),
-                "rule_firings": engine.rule_firings,
-                "condensation_width": engine.condensation["width"],
-            },
-        },
-    )
 
 
 @pytest.mark.table("parallel")

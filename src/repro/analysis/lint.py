@@ -49,8 +49,8 @@ rule id                     severity  finding
 ``scc-entangled``           info      nearly every defined predicate
                                       shares one SCC: the condensation
                                       has no layering, so SCC-guided
-                                      and parallel evaluation degrade
-                                      to the flat loop
+                                      evaluation degrades to the flat
+                                      loop
 ==========================  ========  ==================================
 
 The flow-sensitive rules come from :mod:`repro.analysis.modecheck`
@@ -226,12 +226,11 @@ def _entangled_condensation(
 
     Supplementary-magic guard predicates are the classic cause on
     qsort-like programs: guards call answers and answers call guards,
-    so every predicate lands in a single SCC and both the layering the
-    SCC-guided engine exploits and the parallelism of the condensation
-    scheduler are lost.  The note is informational — the program is
-    still correct — but it explains why ``max_workers`` buys nothing
-    and points at the guard/answer-splitting rewrite (DESIGN.md) that
-    would recover structure.
+    so every predicate lands in a single SCC and the layering the
+    SCC-guided engine exploits is lost.  The note is informational —
+    the program is still correct — but it explains why SCC-guided
+    evaluation saves nothing here and points at the guard/answer-
+    splitting rewrite (DESIGN.md) that would recover structure.
     """
     defined = [ind for ind in program.predicates() if program.clauses_for(ind)]
     if len(defined) < 3:
@@ -250,8 +249,7 @@ def _entangled_condensation(
         f"{len(entangled)} of {len(defined)} defined predicates share "
         "one strongly connected component; the dependency "
         "condensation has no layering, so SCC-guided evaluation "
-        "degrades to the flat loop and the parallel component "
-        "scheduler finds no independent work (guard predicates of "
+        "degrades to the flat loop (guard predicates of "
         "the supplementary-magic rewrite commonly entangle answers "
         "this way; splitting guards from answers recovers the "
         "structure)"

@@ -43,12 +43,6 @@ class SLDEngine:
         A :class:`Program` or prebuilt :class:`ClauseDB`.
     compiled:
         Build the clause database in compiled (indexed, templated) mode.
-    max_steps:
-        Optional resolution-step budget; exceeding it raises
-        :class:`repro.runtime.budget.StepLimitExceeded`.  Used to
-        demonstrate/contain nontermination of SLD on left recursion.
-        Shorthand for a :class:`~repro.runtime.budget.Budget` with only
-        ``steps`` set.
     unknown:
         ``"error"`` (default) raises on calls to undefined predicates,
         ``"fail"`` makes them fail silently.
@@ -63,7 +57,6 @@ class SLDEngine:
         self,
         program: Program | ClauseDB,
         compiled: bool = False,
-        max_steps: int | None = None,
         unknown: str = "error",
         governor=None,
         obs=None,
@@ -73,12 +66,7 @@ class SLDEngine:
         else:
             prepared = getattr(program, "prepared_db", None)
             self.db = prepared if prepared is not None else ClauseDB(program, compiled)
-        self.max_steps = max_steps
         self.unknown = unknown
-        if governor is None and max_steps is not None:
-            from repro.runtime.budget import Budget, ResourceGovernor
-
-            governor = ResourceGovernor(Budget(steps=max_steps))
         self.governor = governor
         self.obs = resolve_observer(obs)
         self.steps = 0

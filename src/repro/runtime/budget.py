@@ -15,7 +15,6 @@ callers can decide how to degrade instead of parsing message strings.
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.errors import PrologError
@@ -196,7 +195,6 @@ class ResourceGovernor:
         self._limits = {k: getattr(self.budget, k) for k in EVENT_KINDS}
         self._table_cap = self.budget.table_bytes
         self._charges = 0
-        self._lock: threading.Lock | None = None
 
     def restarted(self) -> "ResourceGovernor":
         """A fresh governor over the same budget/fault/clock.
@@ -224,30 +222,9 @@ class ResourceGovernor:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def make_thread_safe(self) -> None:
-        """Serialise counter updates behind a lock (idempotent).
-
-        The single-threaded hot path stays lock-free (one attribute
-        check); parallel evaluators call this once before handing the
-        governor to worker threads, so concurrent :meth:`charge` calls
-        can neither lose counts nor race the limit comparison.
-        :meth:`cancel` needs no lock — it is a monotonic boolean write,
-        already safe to call from any thread.
-        """
-        if self._lock is None:
-            self._lock = threading.Lock()
-
     # ------------------------------------------------------------------
     def charge(self, kind: str, context=None) -> None:
         """Account one unit of ``kind``; raise if any budget tripped."""
-        lock = self._lock
-        if lock is None:
-            self._charge(kind, context)
-        else:
-            with lock:
-                self._charge(kind, context)
-
-    def _charge(self, kind: str, context=None) -> None:
         spent = self.spent
         count = spent[kind] + 1
         spent[kind] = count
@@ -279,14 +256,6 @@ class ResourceGovernor:
 
     def tick_table_bytes(self, delta: int, context=None) -> None:
         """Account table-space growth; raise when over the byte cap."""
-        lock = self._lock
-        if lock is None:
-            self._tick_table_bytes(delta, context)
-        else:
-            with lock:
-                self._tick_table_bytes(delta, context)
-
-    def _tick_table_bytes(self, delta: int, context=None) -> None:
         self.table_bytes += delta
         if self._table_cap is not None and self.table_bytes > self._table_cap:
             raise TableSpaceExceeded(

@@ -16,6 +16,7 @@ from repro.core import analyze_groundness
 from repro.engine import SLDEngine
 from repro.funlang import LazyInterpreter
 from repro.prolog import parse_query
+from repro.runtime import Budget, ResourceGovernor
 from repro.terms import term_to_str
 
 
@@ -50,7 +51,9 @@ def test_funlang_benchmarks_load(name):
 def run_query(name, query, max_solutions=1):
     program = load_prolog_benchmark(name)
     goal, varmap = parse_query(query)
-    engine = SLDEngine(program, max_steps=3_000_000)
+    engine = SLDEngine(
+        program, governor=ResourceGovernor(Budget(steps=3_000_000))
+    )
     out = []
     for s in engine.solve(goal):
         out.append({k: term_to_str(s.resolve(v)) for k, v in varmap.items()})

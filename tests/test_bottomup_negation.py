@@ -14,6 +14,7 @@ from repro.analysis.depgraph import DependencyGraph
 from repro.analysis.stratify import stratum_numbers, unstratified_sites
 from repro.engine.bottomup import BottomUpEngine, UnstratifiedProgramError
 from repro.engine.builtins import PrologError
+from repro.engine.tabling import TabledEngine
 from repro.obs import Observer, use_observer
 from repro.prolog import load_program
 from repro.prolog.parser import parse_term
@@ -42,10 +43,59 @@ def test_negation_against_completed_lower_stratum():
     }
 
 
-def test_negation_same_answers_parallel():
-    serial = facts_of(REACH, "unreachable", 1)
-    for workers in (2, 4):
-        assert facts_of(REACH, "unreachable", 1, max_workers=workers) == serial
+STRATIFIED_PROGRAMS = {
+    "unreachable": """
+        edge(a,b). edge(b,c). edge(c,d). edge(d,b). edge(e,f).
+        node(a). node(b). node(c). node(d). node(e). node(f). node(g).
+        reach(a).
+        reach(Y) :- reach(X), edge(X,Y).
+        unreachable(X) :- node(X), \\+ reach(X).
+    """,
+    # three strata with several independent components per stratum
+    "three_strata": """
+        p(1). p(2). p(3). q(2). q(4). r(3). r(5).
+        s(X) :- p(X), \\+ q(X).
+        t(X) :- p(X), \\+ r(X).
+        u(X) :- p(X), \\+ s(X), \\+ t(X).
+        v(X) :- q(X), \\+ p(X).
+    """,
+    # nested negation and a conjunction under \+
+    "nested": """
+        a(1). a(2). a(3). b(2). c(3).
+        d(X) :- a(X), \\+ (b(X) ; c(X)).
+        e(X) :- a(X), \\+ \\+ b(X).
+        f(X) :- a(X), \\+ (b(X), \\+ c(X)).
+    """,
+}
+
+
+def assert_model_matches_tabled(source: str, name: str) -> None:
+    """Two evaluation routes, one semantics: for every defined
+    predicate the bottom-up model equals the tabled engine's answers to
+    the most general goal.  The tabled engine proves ``\\+`` by solving
+    the negated goal to completion in a nested engine, not by reading a
+    frozen lower stratum as the bottom-up engine does."""
+    from repro.terms.term import Struct, fresh_var, term_to_str
+
+    program = load_program(source)
+    engine = BottomUpEngine(program).evaluate()
+    defined = [ind for ind in program.predicates() if program.clauses_for(ind)]
+    assert defined
+    for functor, arity in defined:
+        goal = Struct(functor, tuple(fresh_var() for _ in range(arity)))
+        tabled = TabledEngine(program, table_all=True).solve(goal)
+        assert {term_to_str(a) for a in tabled} == {
+            term_to_str(f) for f in engine.facts((functor, arity))
+        }, f"{functor}/{arity} diverged on {name}"
+
+
+@pytest.mark.parametrize("name", sorted(STRATIFIED_PROGRAMS))
+def test_stratified_model_matches_tabled_answers(name):
+    assert_model_matches_tabled(STRATIFIED_PROGRAMS[name], name)
+
+
+def test_negation_same_answers_tabled():
+    assert_model_matches_tabled(REACH, "REACH")
 
 
 def test_negation_with_builtins_and_conjunction():
@@ -119,6 +169,15 @@ def test_unstratified_program_rejected():
     assert [d.predicate for d in error.diagnostics] == [
         d.predicate for d in expected
     ]
+
+
+def test_unstratified_program_rejected_before_evaluation():
+    engine = BottomUpEngine(load_program(WIN))
+    with pytest.raises(UnstratifiedProgramError, match="unstratified-negation"):
+        engine.evaluate()
+    # rejected up front: no rule fired, nothing was derived
+    assert (engine.rounds, engine.rule_firings, engine.derivations) == (0, 0, 0)
+    assert ("win", 1) not in engine.relations
 
 
 def test_negation_requires_scc_mode():

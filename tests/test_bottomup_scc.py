@@ -7,7 +7,9 @@ from repro.core.groundness import abstract_program
 from repro.engine.bottomup import BottomUpEngine
 from repro.engine.builtins import PrologError
 from repro.magic.magic import magic_answers, magic_transform
+from repro.obs import Observer, use_observer
 from repro.prolog import load_program, parse_term
+from repro.runtime import Budget, ResourceGovernor
 from repro.terms import term_to_str, variant_key
 
 GRAPH = """
@@ -111,10 +113,23 @@ def test_builtin_only_body_rules_fire_in_both_modes():
 
 def test_round_budget_still_enforced():
     src = "n(z).\nn(s(X)) :- n(X)."
-    with pytest.raises(PrologError, match="round budget"):
-        BottomUpEngine(load_program(src), max_rounds=5, scc=True).evaluate()
-    with pytest.raises(PrologError, match="round budget"):
-        BottomUpEngine(load_program(src), max_rounds=5, scc=False).evaluate()
+    for scc in (True, False):
+        governor = ResourceGovernor(Budget(rounds=5))
+        engine = BottomUpEngine(load_program(src), scc=scc, governor=governor)
+        with pytest.raises(PrologError, match="round budget"):
+            engine.evaluate()
+
+
+def test_scc_gauges_metered():
+    observer = Observer()
+    with use_observer(observer):
+        engine = BottomUpEngine(
+            load_program("a(1). b(X) :- a(X). c(X) :- b(X).")
+        ).evaluate()
+    assert engine.scc_count == 3
+    gauges = observer.registry.gauges
+    assert gauges["engine.scc.components"].value == 3
+    assert gauges["engine.scc.largest_component"].value == 1
 
 
 def test_holds_is_mode_independent():

@@ -12,11 +12,13 @@ from repro.engine.bottomup import BottomUpEngine
 from repro.engine.builtins import PrologError
 from repro.funlang import FuelExhausted, LazyInterpreter
 from repro.funlang.parser import parse_fun_program
+from repro.obs import Observer, use_observer
 from repro.prolog import load_program, parse_query, parse_term
 from repro.runtime import (
     Budget,
     Cancelled,
     DeadlineExceeded,
+    FaultInjector,
     ResourceExhausted,
     ResourceGovernor,
     RoundBudgetExceeded,
@@ -132,9 +134,6 @@ def test_tabled_task_budget():
     engine = TabledEngine(db, governor=ResourceGovernor(Budget(tasks=3)))
     with pytest.raises(TaskBudgetExceeded):
         engine.solve(parse_term("path(a, X)"))
-    # legacy kwarg spells the same governor
-    with pytest.raises(TaskBudgetExceeded):
-        TabledEngine(db, max_tasks=3).solve(parse_term("path(a, X)"))
 
 
 def test_tabled_answer_budget():
@@ -251,13 +250,6 @@ def test_negation_subengine_charges_parent_budget():
         )
 
 
-def test_negation_subengine_legacy_max_steps():
-    program = load_program(NEGATION)
-    goal, _ = parse_query("top")
-    with pytest.raises(StepLimitExceeded):
-        list(SLDEngine(program, max_steps=8).solve(goal))
-
-
 # ----------------------------------------------------------------------
 # Bottom-up engine x {rounds, cancel}
 
@@ -275,6 +267,29 @@ def test_bottomup_cancellation():
     gov.cancel()
     with pytest.raises(Cancelled):
         BottomUpEngine(load_program(PATH), governor=gov).evaluate()
+
+
+def test_bottomup_trip_flushes_span_and_keeps_spend():
+    """A deadline trip mid-walk surfaces as itself, closes the evaluate
+    span as exhausted, and the engine keeps the work it already spent."""
+    governor = ResourceGovernor(
+        Budget(), fault=FaultInjector(event="rounds", at=3, kind="deadline")
+    )
+    observer = Observer()
+    with use_observer(observer):
+        engine = BottomUpEngine(load_program(PATH), governor=governor)
+        with pytest.raises(DeadlineExceeded):
+            engine.evaluate()
+    spans = observer.tracer.spans()
+    (evaluate,) = [s for s in spans if s.name == "engine.bottomup.evaluate"]
+    assert evaluate.status == "exhausted"
+    trips = [e for e in evaluate.events if e["name"] == "resource_exhausted"]
+    assert trips and trips[0]["kind"] == "deadline"
+    assert all(span.end is not None for span in spans)
+    assert engine.rounds == 3
+    assert evaluate.attrs["rounds"] == 3
+    counters = observer.registry.counters
+    assert counters["engine.bottomup.rounds"].value == 3
 
 
 def test_bottomup_completes_within_budget():

@@ -6,6 +6,7 @@ from repro.engine import SLDEngine, sld_solve
 from repro.engine.builtins import PrologError
 from repro.engine.sld import StepLimitExceeded
 from repro.prolog import load_program, parse_query
+from repro.runtime import Budget, ResourceGovernor
 from repro.terms import term_to_str
 
 
@@ -111,7 +112,7 @@ def test_left_recursion_loops():
     """
     program = load_program(src)
     goal, _ = parse_query("path(a, X)")
-    engine = SLDEngine(program, max_steps=5000)
+    engine = SLDEngine(program, governor=ResourceGovernor(Budget(steps=5000)))
     with pytest.raises(StepLimitExceeded):
         list(engine.solve(goal))
 

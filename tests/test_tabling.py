@@ -5,6 +5,7 @@ import pytest
 from repro.engine import TabledEngine
 from repro.engine.builtins import PrologError
 from repro.prolog import load_program, parse_query, parse_term
+from repro.runtime import Budget, ResourceGovernor
 from repro.terms import Struct, fresh_var, term_to_str, variant_key
 
 
@@ -168,7 +169,9 @@ def test_cut_handling_options():
 
 def test_task_budget():
     with pytest.raises(PrologError):
-        answers(GRAPH, "path(X, Y)", max_tasks=3)
+        answers(
+            GRAPH, "path(X, Y)", governor=ResourceGovernor(Budget(tasks=3))
+        )
 
 
 def test_call_abstraction_hook():
